@@ -12,10 +12,15 @@
 /// (is the pool starved? is one worker hogging? how deep does the backlog
 /// get?). Bookkeeping happens under the queue mutex the pool already takes,
 /// so the instrumentation adds no new synchronization.
+///
+/// The pool is also a WorkerLender: a running task may borrow a worker that
+/// would otherwise sit idle (tryLend), which is how a 3D FDTD corner splits
+/// its time step across the workers a sweep leaves unused near its end.
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -26,6 +31,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "exec/worker_lender.h"
 #include "obs/histogram.h"
 
 namespace fdtdmm {
@@ -35,21 +41,26 @@ struct ThreadPoolStats {
   /// Deepest the queue has ever been, sampled right after each enqueue
   /// (i.e. the worst backlog any submitted task ever joined).
   std::size_t queue_high_water = 0;
-  /// Total tasks accepted by submit().
+  /// Total tasks accepted by submit() and tryLend().
   long long submitted = 0;
-  /// Completed tasks per worker, indexed by worker id [0, workerCount()).
-  /// Sums to `submitted` once every future has been collected.
+  /// Completed tasks per worker, indexed by worker id [0, workerCount()),
+  /// lent jobs included. Sums to `submitted` once every future has been
+  /// collected and every lent job has finished.
   std::vector<long long> tasks_per_worker;
   /// Sum over dequeued tasks of (dequeue time - enqueue time): total time
-  /// tasks spent waiting behind the queue rather than running.
+  /// tasks spent waiting behind the queue rather than running. Lent jobs
+  /// never wait, so they add nothing here.
   double queue_wait_seconds = 0.0;
   /// Sum over completed tasks of their body's wall time: total time the
   /// workers spent *running* rather than idle. busy / (workers * sweep
   /// wall) is the utilization the live progress surface reports.
   double busy_seconds = 0.0;
+  /// Lent jobs (tryLend) that ended by throwing: with no future to carry
+  /// the exception, the pool counts it here and keeps the worker.
+  long long lent_exceptions = 0;
 };
 
-class ThreadPool {
+class ThreadPool final : public WorkerLender {
  public:
   /// Starts `workers` threads immediately.
   /// \throws std::invalid_argument if workers == 0.
@@ -95,6 +106,19 @@ class ThreadPool {
   /// Number of tasks not yet picked up by a worker.
   std::size_t queued() const;
 
+  /// Lends a parked worker to `job` (see WorkerLender::tryLend). Succeeds
+  /// only when the queue is empty and a worker is waiting that no earlier
+  /// lent job has claimed; never blocks, never starts a thread. A lent job
+  /// runs ahead of queued tasks, counts in stats() like one (submitted,
+  /// tasks_per_worker, busy_seconds), and runs with no current() lender.
+  /// Refused once the pool is shutting down.
+  bool tryLend(std::function<void()> job) override;
+
+  /// ceil(workerCount() / tasks running now): the threads one running task
+  /// may occupy, itself included, so concurrent tasks split the idle
+  /// workers evenly instead of the first one to ask taking them all.
+  std::size_t fairShare() const override;
+
   /// Snapshot of the utilization counters; safe to call at any time
   /// (values of in-flight tasks keep moving underneath).
   ThreadPoolStats stats() const;
@@ -117,9 +141,12 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<QueuedTask> queue_;
+  std::deque<std::function<void()>> lent_;  // accepted by tryLend, not yet started
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
+  std::size_t parked_ = 0;   // workers blocked waiting for work
+  std::size_t running_ = 0;  // workers running a submitted (not lent) task
   ThreadPoolStats stats_;  // guarded by mu_
   obs::HistogramRegistry* queue_wait_recorder_ = nullptr;  // guarded by mu_
 };

@@ -25,26 +25,33 @@ struct CpmlOptions {
   double a_max = 0.05;        ///< CFS alpha at the PML inner edge [S/m-ish]
 };
 
-/// CPML state: attach to a grid, call updateHCorrections() after the H
-/// update and updateECorrections() after the E update of every step.
+/// CPML state. The psi corrections ride the solver's x-plane sweep (see
+/// solver.h): for every plane i, updateHPlane(i) right after the volume H
+/// update of plane i, updateEPlane(i) right after its volume E update, and
+/// applyPecBackingPlane(i) once the plane's E is otherwise final. Each call
+/// touches plane i only (reading the neighbouring field planes the volume
+/// update of that plane reads), so the slabs of the sweep can run them
+/// concurrently.
 /// The outermost tangential E layer must still be held at zero (PEC
-/// backing), which the owner handles by zeroing the boundary planes.
+/// backing), which applyPecBackingPlane() does.
 class CpmlBoundary {
  public:
   /// \throws std::invalid_argument on null grid or a thickness that does
   ///         not leave at least 4 interior cells per axis.
   CpmlBoundary(Grid3* grid, const CpmlOptions& opt);
 
-  /// Adds the psi corrections to E inside the PML slabs (call after the
-  /// volume E update, before PEC forcing).
-  void updateECorrections();
+  /// Adds the psi corrections to E of plane i inside the PML slabs (after
+  /// the volume E update of plane i, before PEC forcing).
+  void updateEPlane(std::size_t i);
 
-  /// Adds the psi corrections to H inside the PML slabs (call after the
-  /// volume H update).
-  void updateHCorrections();
+  /// Adds the psi corrections to H of plane i inside the PML slabs (after
+  /// the volume H update of plane i).
+  void updateHPlane(std::size_t i);
 
-  /// Zeroes the tangential E on the outer boundary (PEC backing).
-  void applyPecBacking();
+  /// Zeroes the tangential E of plane i on the outer boundary (PEC
+  /// backing): the whole Ey/Ez plane at i = 0 and i = nx, and the y and z
+  /// boundary lines of every plane.
+  void applyPecBackingPlane(std::size_t i);
 
   std::size_t thickness() const { return t_; }
 

@@ -31,108 +31,115 @@ MurBoundary::MurBoundary(Grid3* grid) : g_(grid) {
   resize(z1_, nx * (ny + 1), (nx + 1) * ny);
 }
 
-void MurBoundary::snapshot() {
+void MurBoundary::snapshotPlane(std::size_t i) {
   Grid3& g = *g_;
   const std::size_t nx = g.nx(), ny = g.ny(), nz = g.nz();
 
-  std::size_t p = 0;
-  // ---- x = 0 / x = nx faces: Ey and Ez.
-  p = 0;
-  for (std::size_t j = 0; j < ny; ++j)
-    for (std::size_t k = 0; k <= nz; ++k, ++p) {
-      x0_.t1_l0[p] = g.ey(0, j, k);
-      x0_.t1_l1[p] = g.ey(1, j, k);
-      x1_.t1_l0[p] = g.ey(nx, j, k);
-      x1_.t1_l1[p] = g.ey(nx - 1, j, k);
-    }
-  p = 0;
-  for (std::size_t j = 0; j <= ny; ++j)
-    for (std::size_t k = 0; k < nz; ++k, ++p) {
-      x0_.t2_l0[p] = g.ez(0, j, k);
-      x0_.t2_l1[p] = g.ez(1, j, k);
-      x1_.t2_l0[p] = g.ez(nx, j, k);
-      x1_.t2_l1[p] = g.ez(nx - 1, j, k);
-    }
+  // ---- x = 0 / x = nx faces: Ey and Ez of the boundary planes and their
+  // neighbours (plane 1 and plane nx-1).
+  auto save_x = [&](std::vector<double>& t1, std::vector<double>& t2) {
+    std::size_t p = 0;
+    for (std::size_t j = 0; j < ny; ++j)
+      for (std::size_t k = 0; k <= nz; ++k, ++p) t1[p] = g.ey(i, j, k);
+    p = 0;
+    for (std::size_t j = 0; j <= ny; ++j)
+      for (std::size_t k = 0; k < nz; ++k, ++p) t2[p] = g.ez(i, j, k);
+  };
+  if (i == 0) save_x(x0_.t1_l0, x0_.t2_l0);
+  if (i == 1) save_x(x0_.t1_l1, x0_.t2_l1);
+  if (i == nx) save_x(x1_.t1_l0, x1_.t2_l0);
+  if (i + 1 == nx) save_x(x1_.t1_l1, x1_.t2_l1);
+
   // ---- y faces: Ex and Ez.
-  p = 0;
-  for (std::size_t i = 0; i < nx; ++i)
-    for (std::size_t k = 0; k <= nz; ++k, ++p) {
+  if (i < nx) {
+    for (std::size_t k = 0, p = i * (nz + 1); k <= nz; ++k, ++p) {
       y0_.t1_l0[p] = g.ex(i, 0, k);
       y0_.t1_l1[p] = g.ex(i, 1, k);
       y1_.t1_l0[p] = g.ex(i, ny, k);
       y1_.t1_l1[p] = g.ex(i, ny - 1, k);
     }
-  p = 0;
-  for (std::size_t i = 0; i <= nx; ++i)
-    for (std::size_t k = 0; k < nz; ++k, ++p) {
-      y0_.t2_l0[p] = g.ez(i, 0, k);
-      y0_.t2_l1[p] = g.ez(i, 1, k);
-      y1_.t2_l0[p] = g.ez(i, ny, k);
-      y1_.t2_l1[p] = g.ez(i, ny - 1, k);
-    }
+  }
+  for (std::size_t k = 0, p = i * nz; k < nz; ++k, ++p) {
+    y0_.t2_l0[p] = g.ez(i, 0, k);
+    y0_.t2_l1[p] = g.ez(i, 1, k);
+    y1_.t2_l0[p] = g.ez(i, ny, k);
+    y1_.t2_l1[p] = g.ez(i, ny - 1, k);
+  }
   // ---- z faces: Ex and Ey.
-  p = 0;
-  for (std::size_t i = 0; i < nx; ++i)
-    for (std::size_t j = 0; j <= ny; ++j, ++p) {
+  if (i < nx) {
+    for (std::size_t j = 0, p = i * (ny + 1); j <= ny; ++j, ++p) {
       z0_.t1_l0[p] = g.ex(i, j, 0);
       z0_.t1_l1[p] = g.ex(i, j, 1);
       z1_.t1_l0[p] = g.ex(i, j, nz);
       z1_.t1_l1[p] = g.ex(i, j, nz - 1);
     }
-  p = 0;
-  for (std::size_t i = 0; i <= nx; ++i)
-    for (std::size_t j = 0; j < ny; ++j, ++p) {
-      z0_.t2_l0[p] = g.ey(i, j, 0);
-      z0_.t2_l1[p] = g.ey(i, j, 1);
-      z1_.t2_l0[p] = g.ey(i, j, nz);
-      z1_.t2_l1[p] = g.ey(i, j, nz - 1);
-    }
+  }
+  for (std::size_t j = 0, p = i * ny; j < ny; ++j, ++p) {
+    z0_.t2_l0[p] = g.ey(i, j, 0);
+    z0_.t2_l1[p] = g.ey(i, j, 1);
+    z1_.t2_l0[p] = g.ey(i, j, nz);
+    z1_.t2_l1[p] = g.ey(i, j, nz - 1);
+  }
 }
 
-void MurBoundary::apply() {
+void MurBoundary::finishPlane(std::size_t i) {
+  const std::size_t nx = g_->nx();
+  // Planes 0 and 1 wait for the near x face, planes nx-1 and nx for the
+  // far one (with nx = 2, plane 1 waits for both).
+  if (i == 1) {
+    applyXFace(false);
+    for (std::size_t p = 0; p <= 1; ++p)
+      if (p + 1 < nx) applyYZ(p);
+  }
+  if (i == nx) {
+    applyXFace(true);
+    applyYZ(nx - 1);
+    applyYZ(nx);
+  }
+  if (i > 1 && i + 1 < nx) applyYZ(i);
+}
+
+void MurBoundary::applyXFace(bool far_end) {
   Grid3& g = *g_;
   const std::size_t nx = g.nx(), ny = g.ny(), nz = g.nz();
-
+  const std::size_t b = far_end ? nx : 0;       // boundary plane
+  const std::size_t n = far_end ? nx - 1 : 1;   // its neighbour
+  const FaceStore& f = far_end ? x1_ : x0_;
   std::size_t p = 0;
-  // x faces.
-  p = 0;
   for (std::size_t j = 0; j < ny; ++j)
-    for (std::size_t k = 0; k <= nz; ++k, ++p) {
-      g.ey(0, j, k) = x0_.t1_l1[p] + cx_ * (g.ey(1, j, k) - x0_.t1_l0[p]);
-      g.ey(nx, j, k) = x1_.t1_l1[p] + cx_ * (g.ey(nx - 1, j, k) - x1_.t1_l0[p]);
-    }
+    for (std::size_t k = 0; k <= nz; ++k, ++p)
+      g.ey(b, j, k) = f.t1_l1[p] + cx_ * (g.ey(n, j, k) - f.t1_l0[p]);
   p = 0;
   for (std::size_t j = 0; j <= ny; ++j)
-    for (std::size_t k = 0; k < nz; ++k, ++p) {
-      g.ez(0, j, k) = x0_.t2_l1[p] + cx_ * (g.ez(1, j, k) - x0_.t2_l0[p]);
-      g.ez(nx, j, k) = x1_.t2_l1[p] + cx_ * (g.ez(nx - 1, j, k) - x1_.t2_l0[p]);
-    }
-  // y faces.
-  p = 0;
-  for (std::size_t i = 0; i < nx; ++i)
-    for (std::size_t k = 0; k <= nz; ++k, ++p) {
+    for (std::size_t k = 0; k < nz; ++k, ++p)
+      g.ez(b, j, k) = f.t2_l1[p] + cx_ * (g.ez(n, j, k) - f.t2_l0[p]);
+}
+
+void MurBoundary::applyYZ(std::size_t i) {
+  Grid3& g = *g_;
+  const std::size_t nx = g.nx(), ny = g.ny(), nz = g.nz();
+  // y faces first: the z faces read the y faces' Ex results at j = 0, ny.
+  if (i < nx) {
+    for (std::size_t k = 0, p = i * (nz + 1); k <= nz; ++k, ++p) {
       g.ex(i, 0, k) = y0_.t1_l1[p] + cy_ * (g.ex(i, 1, k) - y0_.t1_l0[p]);
       g.ex(i, ny, k) = y1_.t1_l1[p] + cy_ * (g.ex(i, ny - 1, k) - y1_.t1_l0[p]);
     }
-  p = 0;
-  for (std::size_t i = 0; i <= nx; ++i)
-    for (std::size_t k = 0; k < nz; ++k, ++p) {
-      g.ez(i, 0, k) = y0_.t2_l1[p] + cy_ * (g.ez(i, 1, k) - y0_.t2_l0[p]);
-      g.ez(i, ny, k) = y1_.t2_l1[p] + cy_ * (g.ez(i, ny - 1, k) - y1_.t2_l0[p]);
-    }
+  }
+  for (std::size_t k = 0, p = i * nz; k < nz; ++k, ++p) {
+    g.ez(i, 0, k) = y0_.t2_l1[p] + cy_ * (g.ez(i, 1, k) - y0_.t2_l0[p]);
+    g.ez(i, ny, k) = y1_.t2_l1[p] + cy_ * (g.ez(i, ny - 1, k) - y1_.t2_l0[p]);
+  }
   // z faces.
-  p = 0;
-  for (std::size_t i = 0; i < nx; ++i)
-    for (std::size_t j = 0; j <= ny; ++j, ++p) {
+  if (i < nx) {
+    for (std::size_t j = 0, p = i * (ny + 1); j <= ny; ++j, ++p) {
       g.ex(i, j, 0) = z0_.t1_l1[p] + cz_ * (g.ex(i, j, 1) - z0_.t1_l0[p]);
       g.ex(i, j, nz) = z1_.t1_l1[p] + cz_ * (g.ex(i, j, nz - 1) - z1_.t1_l0[p]);
     }
-  p = 0;
-  for (std::size_t i = 0; i <= nx; ++i)
-    for (std::size_t j = 0; j < ny; ++j, ++p) {
-      g.ey(i, j, 0) = z0_.t2_l1[p] + cz_ * (g.ey(i, j, 1) - z0_.t2_l0[p]);
-      g.ey(i, j, nz) = z1_.t2_l1[p] + cz_ * (g.ey(i, j, nz - 1) - z1_.t2_l0[p]);
-    }
+  }
+  for (std::size_t j = 0, p = i * ny; j < ny; ++j, ++p) {
+    g.ey(i, j, 0) = z0_.t2_l1[p] + cz_ * (g.ey(i, j, 1) - z0_.t2_l0[p]);
+    g.ey(i, j, nz) = z1_.t2_l1[p] + cz_ * (g.ey(i, j, nz - 1) - z1_.t2_l0[p]);
+  }
 }
 
 }  // namespace fdtdmm

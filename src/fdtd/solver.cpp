@@ -1,13 +1,94 @@
 #include "fdtd/solver.h"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 
+#include "exec/worker_lender.h"
 #include "math/newton.h"
 
 namespace fdtdmm {
 
 using namespace constants;
+
+namespace {
+
+// Fewest x-planes a slab may own. It keeps the per-step hand-off small next
+// to the slab's work and gives the first and last slab the planes the
+// x-face boundary updates span (0, 1 and nx-1, nx) whole.
+constexpr std::size_t kMinSlabPlanes = 8;
+// Most slabs per step (the slab count shares a 64-bit word with the step
+// ticket, 8 bits of it).
+constexpr std::size_t kMaxSlabs = 16;
+// Steps between two attempts to borrow idle workers: a corner that starts
+// while its siblings still occupy the pool picks up their workers as they
+// finish.
+constexpr std::size_t kRecruitEverySteps = 16;
+
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// The waits inside one step are a few microseconds: spin, then yield so a
+// waiting thread cannot starve the one it waits for on a busy machine.
+template <typename Done>
+void spinUntil(Done done) {
+  for (unsigned n = 0; !done(); ++n) {
+    if (n < 4096) {
+      cpuRelax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
+}  // namespace
+
+/// The workers borrowed for one run()/runUntil() call. Lent jobs share
+/// ownership, so one that starts after the run ended finds `stop` set and
+/// returns without touching the solver.
+struct FdtdSolver::SlabCrew {
+  /// (step ticket << 8) | slab count of the step in flight; helper h runs
+  /// slab h of it when h < count.
+  std::atomic<std::uint64_t> go{0};
+  /// Helper slabs of the step in flight not yet done.
+  std::atomic<std::size_t> pending{0};
+  std::atomic<bool> stop{false};
+  /// Per slab: ticket of the last step whose H update of the slab's top
+  /// plane is done, the hand-off the slab above waits for.
+  std::array<std::atomic<std::uint64_t>, kMaxSlabs> h_done{};
+  double t_half = 0.0;       ///< of the step in flight; published by `go`
+  WorkerLender* lender = nullptr;  ///< caller-owned; the pool running the run
+  std::size_t helpers = 0;   ///< caller-owned
+  std::uint64_t ticket = 0;  ///< caller-owned
+  std::size_t steps = 0;     ///< caller-owned; steps of this run so far
+};
+
+/// Holds a crew for the lifetime of one run()/runUntil() call and sends
+/// the helpers back on every exit, a throwing port Newton included.
+class FdtdSolver::CrewScope {
+ public:
+  explicit CrewScope(FdtdSolver& s) : s_(s) {
+    WorkerLender* lender = WorkerLender::current();
+    if (lender == nullptr || s_.maxSlabs() < 2) return;
+    s_.crew_ = std::make_shared<SlabCrew>();
+    s_.crew_->lender = lender;
+  }
+  ~CrewScope() {
+    if (s_.crew_) s_.crew_->stop.store(true, std::memory_order_release);
+    s_.crew_.reset();
+  }
+  CrewScope(const CrewScope&) = delete;
+  CrewScope& operator=(const CrewScope&) = delete;
+
+ private:
+  FdtdSolver& s_;
+};
 
 LumpedPort::LumpedPort(const LumpedPortSpec& spec, PortModelPtr model)
     : spec_(spec), model_(std::move(model)) {
@@ -45,16 +126,16 @@ void FdtdSolver::setIncidentWave(const PlaneWave& wave) {
         {grid_.idx(e.i, e.j, e.k), static_cast<int>(e.axis),
          incident_->delay(x, y, z), amp});
   }
-  // Precompute dielectric correction tables.
-  for (auto& v : mat_incident_) v.clear();
+  // Precompute dielectric correction tables, per x-plane for the sweep.
+  mat_incident_.assign(grid_.nx() + 1, {});
   for (const Grid3::MaterialEdge& e : grid_.materialEdges()) {
     const double amp = incident_->polarization(e.axis) * incident_->amplitude();
     if (amp == 0.0) continue;
     double x, y, z;
     grid_.edgeCenter(e.axis, e.i, e.j, e.k, x, y, z);
-    mat_incident_[static_cast<int>(e.axis)].push_back(
-        {grid_.idx(e.i, e.j, e.k), incident_->delay(x, y, z), amp,
-         e.cb * e.d_eps, e.cb * e.sigma});
+    mat_incident_[e.i].push_back({grid_.idx(e.i, e.j, e.k), static_cast<int>(e.axis),
+                                  incident_->delay(x, y, z), amp, e.cb * e.d_eps,
+                                  e.cb * e.sigma});
   }
 }
 
@@ -190,79 +271,166 @@ double FdtdSolver::totalE(Axis axis, std::size_t i, std::size_t j, std::size_t k
   return e;
 }
 
-void FdtdSolver::updateH() {
+std::size_t FdtdSolver::maxSlabs() const {
+  return std::min(kMaxSlabs, (grid_.nx() + 1) / kMinSlabPlanes);
+}
+
+void FdtdSolver::recruitHelpers() {
+  SlabCrew& crew = *crew_;
+  const std::size_t want = std::min(maxSlabs(), crew.lender->fairShare());
+  while (crew.helpers + 1 < want) {
+    const std::size_t slot = crew.helpers + 1;
+    // The job may start after this run has ended; helperLoop then leaves
+    // without dereferencing the solver pointer (see SlabCrew).
+    std::shared_ptr<SlabCrew> shared = crew_;
+    if (!crew.lender->tryLend([this, shared, slot] { helperLoop(this, *shared, slot); }))
+      break;
+    // The next step published counts the helper in, whether or not its
+    // job has started yet: the step then waits until it has.
+    ++crew.helpers;
+  }
+}
+
+void FdtdSolver::helperLoop(FdtdSolver* solver, SlabCrew& crew, std::size_t slot) {
+  std::uint64_t seen = 0;  // tickets start at 1
+  for (;;) {
+    std::uint64_t word = 0;
+    spinUntil([&] {
+      word = crew.go.load(std::memory_order_acquire);
+      return (word >> 8) != seen || crew.stop.load(std::memory_order_acquire);
+    });
+    // The crew stops only between steps, never while one waits for us.
+    if (crew.stop.load(std::memory_order_acquire)) return;
+    seen = word >> 8;
+    const std::size_t n_slabs = word & 0xffu;
+    if (slot >= n_slabs) continue;  // lent after this step was published
+    solver->sweepSlab(slot, n_slabs, crew.t_half, &crew, seen);
+    crew.pending.fetch_sub(1, std::memory_order_release);
+  }
+}
+
+void FdtdSolver::sweep(double t_half) {
+  SlabCrew* crew = crew_.get();
+  const std::size_t n_slabs = crew != nullptr ? crew->helpers + 1 : 1;
+  peak_slabs_ = std::max(peak_slabs_, n_slabs);
+  if (n_slabs == 1) {
+    sweepSlab(0, 1, t_half, nullptr, 0);
+    return;
+  }
+  const std::uint64_t ticket = ++crew->ticket;
+  crew->t_half = t_half;
+  crew->pending.store(n_slabs - 1, std::memory_order_relaxed);
+  crew->go.store((ticket << 8) | n_slabs, std::memory_order_release);
+  sweepSlab(0, n_slabs, t_half, crew, ticket);
+  spinUntil([&] { return crew->pending.load(std::memory_order_acquire) == 0; });
+}
+
+void FdtdSolver::sweepSlab(std::size_t slab, std::size_t n_slabs, double t_half,
+                           SlabCrew* crew, std::uint64_t ticket) {
+  const std::size_t planes = grid_.nx() + 1;
+  const std::size_t lo = slab * planes / n_slabs;
+  const std::size_t hi = (slab + 1) * planes / n_slabs;
+  // E(lo) reads H(lo-1), and H(lo-1) reads the old E(lo): the first plane
+  // of every slab but the lowest waits for the slab below.
+  const bool defer_first = slab > 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (mur_) mur_->snapshotPlane(i);
+    updateHPlane(i);
+    if (i + 1 == hi && slab + 1 < n_slabs)
+      crew->h_done[slab].store(ticket, std::memory_order_release);
+    if (defer_first && i == lo) continue;
+    updateEPlane(i, t_half);
+  }
+  if (defer_first) {
+    spinUntil([&] {
+      return crew->h_done[slab - 1].load(std::memory_order_acquire) >= ticket;
+    });
+    updateEPlane(lo, t_half);
+  }
+}
+
+void FdtdSolver::updateHPlane(std::size_t i) {
   Grid3& g = grid_;
   const std::size_t nx = g.nx(), ny = g.ny(), nz = g.nz();
+  const std::size_t sj = nz + 1, si = (ny + 1) * sj;  // j and i strides
   const double chx = g.dt() / kMu0;
   const double idx_ = 1.0 / g.dx(), idy = 1.0 / g.dy(), idz = 1.0 / g.dz();
-  for (std::size_t i = 0; i <= nx; ++i)
-    for (std::size_t j = 0; j < ny; ++j)
-      for (std::size_t k = 0; k < nz; ++k) {
-        g.hx(i, j, k) -= chx * ((g.ez(i, j + 1, k) - g.ez(i, j, k)) * idy -
-                                (g.ey(i, j, k + 1) - g.ey(i, j, k)) * idz);
-      }
-  for (std::size_t i = 0; i < nx; ++i)
+  const double* __restrict ex = g.exData().data();
+  const double* __restrict ey = g.eyData().data();
+  const double* __restrict ez = g.ezData().data();
+  double* __restrict hx = g.hxData().data();
+  double* __restrict hy = g.hyData().data();
+  double* __restrict hz = g.hzData().data();
+
+  for (std::size_t j = 0; j < ny; ++j)
+    for (std::size_t id = g.idx(i, j, 0), end = id + nz; id < end; ++id)
+      hx[id] -= chx * ((ez[id + sj] - ez[id]) * idy - (ey[id + 1] - ey[id]) * idz);
+  if (i < nx) {
     for (std::size_t j = 0; j <= ny; ++j)
-      for (std::size_t k = 0; k < nz; ++k) {
-        g.hy(i, j, k) -= chx * ((g.ex(i, j, k + 1) - g.ex(i, j, k)) * idz -
-                                (g.ez(i + 1, j, k) - g.ez(i, j, k)) * idx_);
-      }
-  for (std::size_t i = 0; i < nx; ++i)
+      for (std::size_t id = g.idx(i, j, 0), end = id + nz; id < end; ++id)
+        hy[id] -= chx * ((ex[id + 1] - ex[id]) * idz - (ez[id + si] - ez[id]) * idx_);
     for (std::size_t j = 0; j < ny; ++j)
-      for (std::size_t k = 0; k <= nz; ++k) {
-        g.hz(i, j, k) -= chx * ((g.ey(i + 1, j, k) - g.ey(i, j, k)) * idx_ -
-                                (g.ex(i, j + 1, k) - g.ex(i, j, k)) * idy);
-      }
+      for (std::size_t id = g.idx(i, j, 0), end = id + nz + 1; id < end; ++id)
+        hz[id] -= chx * ((ey[id + si] - ey[id]) * idx_ - (ex[id + sj] - ex[id]) * idy);
+  }
+  if (cpml_) cpml_->updateHPlane(i);
 }
 
-void FdtdSolver::updateE() {
+void FdtdSolver::updateEPlane(std::size_t i, double t_half) {
   Grid3& g = grid_;
   const std::size_t nx = g.nx(), ny = g.ny(), nz = g.nz();
+  const std::size_t sj = nz + 1, si = (ny + 1) * sj;
   const double idx_ = 1.0 / g.dx(), idy = 1.0 / g.dy(), idz = 1.0 / g.dz();
-  const std::vector<double>& ca_ex = g.caEx();
-  const std::vector<double>& cb_ex = g.cbEx();
-  const std::vector<double>& ca_ey = g.caEy();
-  const std::vector<double>& cb_ey = g.cbEy();
-  const std::vector<double>& ca_ez = g.caEz();
-  const std::vector<double>& cb_ez = g.cbEz();
+  const double* __restrict hx = g.hxData().data();
+  const double* __restrict hy = g.hyData().data();
+  const double* __restrict hz = g.hzData().data();
+  double* __restrict ex = g.exData().data();
+  double* __restrict ey = g.eyData().data();
+  double* __restrict ez = g.ezData().data();
+  const double* __restrict ca_ex = g.caEx().data();
+  const double* __restrict cb_ex = g.cbEx().data();
+  const double* __restrict ca_ey = g.caEy().data();
+  const double* __restrict cb_ey = g.cbEy().data();
+  const double* __restrict ca_ez = g.caEz().data();
+  const double* __restrict cb_ez = g.cbEz().data();
 
-  for (std::size_t i = 0; i < nx; ++i)
+  if (i < nx) {
     for (std::size_t j = 1; j < ny; ++j)
-      for (std::size_t k = 1; k < nz; ++k) {
-        const std::size_t id = g.idx(i, j, k);
-        const double curl = (g.hz(i, j, k) - g.hz(i, j - 1, k)) * idy -
-                            (g.hy(i, j, k) - g.hy(i, j, k - 1)) * idz;
-        g.exData()[id] = ca_ex[id] * g.exData()[id] + cb_ex[id] * curl;
+      for (std::size_t id = g.idx(i, j, 1), end = id + nz - 1; id < end; ++id) {
+        const double curl = (hz[id] - hz[id - sj]) * idy - (hy[id] - hy[id - 1]) * idz;
+        ex[id] = ca_ex[id] * ex[id] + cb_ex[id] * curl;
       }
-  for (std::size_t i = 1; i < nx; ++i)
+  }
+  if (i >= 1 && i < nx) {
     for (std::size_t j = 0; j < ny; ++j)
-      for (std::size_t k = 1; k < nz; ++k) {
-        const std::size_t id = g.idx(i, j, k);
-        const double curl = (g.hx(i, j, k) - g.hx(i, j, k - 1)) * idz -
-                            (g.hz(i, j, k) - g.hz(i - 1, j, k)) * idx_;
-        g.eyData()[id] = ca_ey[id] * g.eyData()[id] + cb_ey[id] * curl;
+      for (std::size_t id = g.idx(i, j, 1), end = id + nz - 1; id < end; ++id) {
+        const double curl = (hx[id] - hx[id - 1]) * idz - (hz[id] - hz[id - si]) * idx_;
+        ey[id] = ca_ey[id] * ey[id] + cb_ey[id] * curl;
       }
-  for (std::size_t i = 1; i < nx; ++i)
     for (std::size_t j = 1; j < ny; ++j)
-      for (std::size_t k = 0; k < nz; ++k) {
-        const std::size_t id = g.idx(i, j, k);
-        const double curl = (g.hy(i, j, k) - g.hy(i - 1, j, k)) * idx_ -
-                            (g.hx(i, j, k) - g.hx(i, j - 1, k)) * idy;
-        g.ezData()[id] = ca_ez[id] * g.ezData()[id] + cb_ez[id] * curl;
+      for (std::size_t id = g.idx(i, j, 0), end = id + nz; id < end; ++id) {
+        const double curl = (hy[id] - hy[id - si]) * idx_ - (hx[id] - hx[id - sj]) * idy;
+        ez[id] = ca_ez[id] * ez[id] + cb_ez[id] * curl;
       }
+  }
+  if (cpml_) cpml_->updateEPlane(i);
+  applyIncidentMaterialCorrections(i, t_half);
+  if (mur_) {
+    mur_->finishPlane(i);
+  } else {
+    cpml_->applyPecBackingPlane(i);
+  }
 }
 
-void FdtdSolver::applyIncidentMaterialCorrections(double t_half) {
+void FdtdSolver::applyIncidentMaterialCorrections(std::size_t i, double t_half) {
   if (!incident_) return;
   const PulseShape& shape = incident_->shape();
   std::vector<double>* fields[3] = {&grid_.exData(), &grid_.eyData(), &grid_.ezData()};
-  for (int c = 0; c < 3; ++c) {
-    std::vector<double>& f = *fields[c];
-    for (const MatIncident& m : mat_incident_[c]) {
-      const double xi = t_half - m.delay;
-      // E_s update gains -cb * [(eps-eps0) dEi/dt + sigma Ei].
-      f[m.id] -= m.cb_deps * m.amp * shape.dg(xi) + m.cb_sigma * m.amp * shape.g(xi);
-    }
+  for (const MatIncident& m : mat_incident_[i]) {
+    const double xi = t_half - m.delay;
+    // E_s update gains -cb * [(eps-eps0) dEi/dt + sigma Ei].
+    (*fields[m.axis])[m.id] -=
+        m.cb_deps * m.amp * shape.dg(xi) + m.cb_sigma * m.amp * shape.g(xi);
   }
 }
 
@@ -432,17 +600,8 @@ void FdtdSolver::stepOnce() {
   const double t_new = static_cast<double>(step_ + 1) * dt;
   const double t_half = (static_cast<double>(step_) + 0.5) * dt;
 
-  updateH();
-  if (cpml_) cpml_->updateHCorrections();
-  if (mur_) mur_->snapshot();
-  updateE();
-  if (cpml_) cpml_->updateECorrections();
-  applyIncidentMaterialCorrections(t_half);
-  if (mur_) {
-    mur_->apply();
-  } else {
-    cpml_->applyPecBacking();
-  }
+  if (crew_ && crew_->steps++ % kRecruitEverySteps == 0) recruitHelpers();
+  sweep(t_half);
   applyPecEdges(t_new);
   solvePorts(t_new, t_half);
   ++step_;
@@ -451,10 +610,12 @@ void FdtdSolver::stepOnce() {
 }
 
 void FdtdSolver::run(std::size_t n_steps) {
+  CrewScope crew(*this);
   for (std::size_t s = 0; s < n_steps; ++s) stepOnce();
 }
 
 void FdtdSolver::runUntil(double t_stop) {
+  CrewScope crew(*this);
   while (time() < t_stop) stepOnce();
 }
 

@@ -2,15 +2,35 @@
 /// \file solver.h
 /// 3D FDTD time stepper with lumped behavioral elements in the mesh — the
 /// paper's hybridization engine (Section 3). Each time step:
-///   1. leapfrog H update (scattered fields);
-///   2. volume E update with baked material coefficients;
-///   3. scattered-field dielectric corrections from the incident wave;
-///   4. Mur-1 absorbing boundaries;
-///   5. tangential-E forcing on PEC edges (E_s = -E_i);
-///   6. per-port Newton-Raphson solve of the coupled Eq. (8) + device law
+///   1. one sweep over the x-planes i = 0..nx that, per plane, updates the
+///      (scattered) H of plane i, then its volume E with baked material
+///      coefficients, the scattered-field dielectric corrections from the
+///      incident wave, and the plane's share of the absorbing boundary
+///      (Mur-1 or CPML; see mur.h and cpml.h);
+///   2. tangential-E forcing on PEC edges (E_s = -E_i);
+///   3. per-port Newton-Raphson solve of the coupled Eq. (8) + device law
 ///      (Eq. (13) for RBF macromodels), overwriting the port edge field;
-///   7. probe recording.
+///   4. probe recording and near-to-far-field accumulation.
+///
+/// Plane order. H(i) reads E(i) and E(i+1), which the sweep has not yet
+/// written this step; E(i) reads H(i) and H(i-1), both already new. Every
+/// element therefore sees exactly the operands of a whole-grid H pass
+/// followed by a whole-grid E pass, and all field arrays stream through
+/// the cache once per step instead of once per pass. Within plane i the
+/// order is: Mur snapshot(i), H(i), CPML H(i), E(i), CPML E(i), material
+/// corrections(i), then the boundary writes plane i completes.
+///
+/// Slabs. The sweep is cut into contiguous x-slabs run concurrently by the
+/// calling thread and by idle workers it borrows from the pool running it
+/// (WorkerLender::current(); none outside a pool). At a slab boundary m the
+/// upper slab does H(m) first and defers E(m) (with its corrections and
+/// boundary writes) to the end of its slab, after the lower slab has
+/// published that H(m-1) — the last reader of the old E(m) — is done. PEC
+/// forcing, ports, probes and NTFF run serially after all slabs finish.
+/// The result is bit-for-bit the same for any slab count; the count
+/// follows only from how many workers happen to be idle.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,11 +165,14 @@ class FdtdSolver {
   /// post-processing). Returns a stable pointer owned by the solver.
   NtffRecorder* addNtffSurface(const NtffSpec& spec);
 
-  /// Advances n time steps. \throws std::runtime_error if a port Newton
-  /// solve fails to converge.
+  /// Advances n time steps. When called from a pool task, idle pool
+  /// workers are borrowed for the plane sweep (retried every few steps,
+  /// at most the pool's fair share) and returned before run() returns or
+  /// throws. \throws std::runtime_error if a port Newton solve fails to
+  /// converge.
   void run(std::size_t n_steps);
 
-  /// Advances until time() >= t_stop.
+  /// Advances until time() >= t_stop; borrows workers like run().
   void runUntil(double t_stop);
 
   /// Probe results (after run).
@@ -161,11 +184,24 @@ class FdtdSolver {
   /// Worst-case Newton iteration count across all ports and steps.
   int maxNewtonIterations() const;
 
+  /// Most x-slabs any step so far was split into: 1 unless the solver ran
+  /// as a pool task while workers were idle.
+  std::size_t peakSlabs() const { return peak_slabs_; }
+
  private:
+  struct SlabCrew;
+  class CrewScope;
+
   void stepOnce();
-  void updateH();
-  void updateE();
-  void applyIncidentMaterialCorrections(double t_half);
+  std::size_t maxSlabs() const;
+  void recruitHelpers();
+  static void helperLoop(FdtdSolver* solver, SlabCrew& crew, std::size_t slot);
+  void sweep(double t_half);
+  void sweepSlab(std::size_t slab, std::size_t n_slabs, double t_half,
+                 SlabCrew* crew, std::uint64_t ticket);
+  void updateHPlane(std::size_t i);
+  void updateEPlane(std::size_t i, double t_half);
+  void applyIncidentMaterialCorrections(std::size_t i, double t_half);
   void applyPecEdges(double t_new);
   void solvePorts(double t_new, double t_half);
   void recordProbes();
@@ -179,6 +215,11 @@ class FdtdSolver {
   std::unique_ptr<PlaneWave> incident_;
   std::size_t step_ = 0;
   bool started_ = false;
+
+  // Borrowed workers of the run()/runUntil() call in progress (null when
+  // none can be borrowed).
+  std::shared_ptr<SlabCrew> crew_;
+  std::size_t peak_slabs_ = 1;
 
   std::vector<std::unique_ptr<LumpedPort>> ports_;
   std::vector<VoltageProbeSpec> v_probe_specs_;
@@ -197,15 +238,17 @@ class FdtdSolver {
     double amp;       ///< polarization * amplitude for this component
   };
   std::vector<PecIncident> pec_incident_[3];
-  // Incident-correction data per material edge (delay and component amp).
+  // Incident-correction data per material edge (delay and component amp),
+  // indexed by x-plane.
   struct MatIncident {
     std::size_t id;
+    int axis;
     double delay;
     double amp;
     double cb_deps;   ///< cb * (eps_eff - eps0)
     double cb_sigma;  ///< cb * sigma_eff
   };
-  std::vector<MatIncident> mat_incident_[3];
+  std::vector<std::vector<MatIncident>> mat_incident_;
 };
 
 }  // namespace fdtdmm
