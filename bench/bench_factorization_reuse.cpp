@@ -1,4 +1,4 @@
-// Benchmark of cross-corner solver-state sharing (SweepOptions::
+// Benchmark of cross-corner solver-state sharing (SweepRunnerOptions::
 // share_solver_state) on the workload it exists for: a linear RHS-only EMC
 // immunity sweep where every corner assembles the same static MNA base.
 // With sharing disabled each of the 12 amplitude x angle corners pays its

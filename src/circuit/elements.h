@@ -58,7 +58,7 @@ struct StampSystem {
 /// dense/sparse routing of StampSystem::add is reused verbatim and both
 /// targets end up with byte-identical CSR patterns (add() always writes
 /// both, even when one part is zero), the precondition of
-/// ComplexSparseLu's shared-pattern factorization. The right-hand side is
+/// BandLu<Complex>'s shared-pattern factorization. The right-hand side is
 /// natively complex.
 struct AcStampSystem {
   StampSystem re;  ///< real part of A (b unused; the complex RHS is below)

@@ -242,7 +242,7 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
   double norm_a = 0.0;
   obs::SolveFn solve, solve_t;
   if (sparse_) {
-    const SparseLu* slu = nullptr;
+    const BandLu<double>* slu = nullptr;
     if (base_factored_ && baseSlu().factored()) {
       slu = &baseSlu();
       norm_a = obs::matrixNorm1(base_sp_);
@@ -256,7 +256,7 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
       slu->solveTranspose(b, x, slu_scratch_);
     };
   } else {
-    const LuFactorization* lu = nullptr;
+    const DenseLu<double>* lu = nullptr;
     if (base_factored_ && baseLu().factored()) {
       lu = &baseLu();
       norm_a = obs::matrixNorm1(base_.a);

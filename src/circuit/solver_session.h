@@ -81,10 +81,10 @@ class SolverSession {
   void collectEndOfRunHealth(const obs::HealthOptions& hopt, obs::NumericalHealth& h,
                              bool any_solve);
   /// The base factorization to solve with (shared or private).
-  const LuFactorization& baseLu() const {
+  const DenseLu<double>& baseLu() const {
     return shared_base_ ? shared_base_->dense : base_lu_;
   }
-  const SparseLu& baseSlu() const {
+  const BandLu<double>& baseSlu() const {
     return shared_base_ ? shared_base_->sparse : base_slu_;
   }
 
@@ -106,8 +106,8 @@ class SolverSession {
 
   // --- numeric base piece: static base matrix + its factorization ---
   StampSystem base_;            ///< dense base matrix (reuse mode)
-  LuFactorization base_lu_;     ///< private base LU when not shared
-  SparseLu base_slu_;           ///< private sparse base LU when not shared
+  DenseLu<double> base_lu_;     ///< private base LU when not shared
+  BandLu<double> base_slu_;     ///< private sparse base LU when not shared
   std::shared_ptr<const SolverNumericBase> shared_base_;
   bool base_factored_ = false;
 
@@ -116,8 +116,8 @@ class SolverSession {
   Vector x_new_;
   StampSystem sys_;
   SparseMatrix work_sp_;        ///< dirtied/value-refreshed sparse working copy
-  LuFactorization work_lu_;     ///< refactored when a dynamic stamp dirties
-  SparseLu work_slu_;
+  DenseLu<double> work_lu_;     ///< refactored when a dynamic stamp dirties
+  BandLu<double> work_slu_;
   Vector slu_scratch_;          ///< caller workspace for shared sparse solves
   bool matrix_was_dirtied_ = false;
 

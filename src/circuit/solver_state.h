@@ -38,8 +38,8 @@
 #include <string>
 #include <vector>
 
-#include "math/linear_solve.h"
-#include "math/sparse_lu.h"
+#include "math/band_lu.h"
+#include "math/dense_lu.h"
 #include "obs/health.h"
 
 namespace fdtdmm {
@@ -55,11 +55,11 @@ struct SolverSymbolic {
 /// Immutable shared numeric base state of one numeric-base class: the
 /// factorization of the static base matrix, dense or sparse according to
 /// the class's solver mode. Solving against it is const and thread-safe
-/// (the sparse form requires the caller-workspace SparseLu::solve).
+/// (the sparse form requires the caller-workspace BandLu::solve).
 struct SolverNumericBase {
   bool is_sparse = false;
-  LuFactorization dense;
-  SparseLu sparse;
+  DenseLu<double> dense;
+  BandLu<double> sparse;
 
   std::size_t dim() const { return is_sparse ? sparse.dim() : dense.dim(); }
 };

@@ -31,10 +31,11 @@
 /// assembly: the *symbolic pattern* is built once from the static stamps
 /// (StampSystem routes element writes into a SparseMatrix target), numeric
 /// values are refreshed in place each iteration, and the factorization is a
-/// SparseLu — reverse Cuthill-McKee fill-reducing ordering plus banded LU
-/// with partial pivoting. Segmented RLGC board models are chain-structured,
-/// so the permuted bandwidth stays O(1) in the segment count and the run
-/// scales O(n) instead of the dense path's O(n^3) factor + O(n^2) solves.
+/// BandLu<double> (math/band_lu.h) — reverse Cuthill-McKee fill-reducing
+/// ordering plus banded LU with partial pivoting. Segmented RLGC board
+/// models are chain-structured, so the permuted bandwidth stays O(1) in the
+/// segment count and the run scales O(n) instead of the dense path's
+/// O(n^3) factor + O(n^2) solves.
 /// Dynamic stamps that touch entries outside the static pattern (e.g. a
 /// MOSFET whose drain/source orientation swaps) are buffered as pattern
 /// overflow; the engine then widens the cached pattern once and continues —

@@ -10,7 +10,8 @@
 ///
 ///   - index                 task index from the SweepSpec expansion
 ///   - label                 quoted task label (embedded quotes doubled)
-///   - ok                    1 if the run completed, 0 if it threw
+///   - ok                    1 if the run completed, 0 if it threw or a
+///                           metric came out non-finite
 ///   - error                 quoted exception text ("" when ok)
 ///   - eye_height..eye_open  far-end EyeMetrics (empty fields when the eye
 ///                           could not be measured, e.g. a pattern shorter
@@ -86,7 +87,7 @@ struct SweepRunRecord {
   bool ok = false;
   std::string error;
   RunMetrics metrics;
-  TaskWaveforms waves;        ///< populated only with SweepOptions::keep_waveforms
+  TaskWaveforms waves;        ///< populated only with SweepRunnerOptions::keep_waveforms
   double wall_seconds = 0.0;  ///< exported only by writeSweepTelemetryJson
   /// Per-corner solver telemetry (phase timings, LU/Newton counters);
   /// aggregated from the scenario run, exported only by

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <future>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "engine/thread_pool.h"
 #include "obs/histogram.h"
@@ -25,30 +27,20 @@ SweepRunner::SweepRunner(SweepRunnerOptions opt) : opt_(std::move(opt)) {
 
 namespace {
 
-SweepRunnerOptions foldLegacyOptions(const SweepOptions& opt,
-                                     std::shared_ptr<ModelCache> cache,
-                                     std::shared_ptr<SolverStateCache> solver,
-                                     std::shared_ptr<ResultCache> results) {
-  SweepRunnerOptions folded;
-  folded.workers = opt.workers;
-  folded.keep_waveforms = opt.keep_waveforms;
-  folded.share_solver_state = opt.share_solver_state;
-  folded.reuse_results = opt.reuse_results;
-  folded.eye = opt.eye;
-  folded.model_cache = std::move(cache);
-  folded.solver_cache = std::move(solver);
-  folded.result_cache = std::move(results);
-  return folded;
+/// Name of the first metric the CSV/JSON exports print that is not finite,
+/// or null. %.9g would print it as nan/inf, which is not JSON.
+const char* nonFiniteMetric(const RunMetrics& m) {
+  const std::pair<const char*, double> exported[] = {
+      {"eye_height", m.eye.eye_height},  {"eye_level_high", m.eye.level_high},
+      {"eye_level_low", m.eye.level_low}, {"v_far_max", m.v_far_max},
+      {"v_far_min", m.v_far_min},        {"overshoot", m.overshoot},
+      {"settling_time", m.settling_time}, {"far_end_delay", m.far_end_delay}};
+  for (const auto& [name, v] : exported)
+    if (!std::isfinite(v)) return name;
+  return nullptr;
 }
 
 }  // namespace
-
-SweepRunner::SweepRunner(SweepOptions opt, std::shared_ptr<ModelCache> cache,
-                         std::shared_ptr<SolverStateCache> solver_cache,
-                         std::shared_ptr<ResultCache> result_cache)
-    : SweepRunner(foldLegacyOptions(opt, std::move(cache),
-                                    std::move(solver_cache),
-                                    std::move(result_cache))) {}
 
 SweepResult SweepRunner::run(const SweepSpec& spec) { return run(spec.expand()); }
 
@@ -223,7 +215,12 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
         TaskWaveforms waves = runSimulationTask(task, driver, receiver, sharing);
         const BitPattern pattern(task.scenario->pattern(),
                                  task.scenario->bitTime());
-        rec.metrics = computeRunMetrics(waves, pattern, opt_.eye);
+        const RunMetrics metrics = computeRunMetrics(waves, pattern, opt_.eye);
+        // An ok row must export only finite numbers: fail the corner
+        // instead, so the writers print empty fields / "metrics": null.
+        if (const char* bad = nonFiniteMetric(metrics))
+          throw std::runtime_error(std::string("non-finite metric: ") + bad);
+        rec.metrics = metrics;
         rec.wall_seconds = waves.wall_seconds;
         rec.telemetry = waves.telemetry;
         // The engine layer owns the corner wall clock (telemetry.h).

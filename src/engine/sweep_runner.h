@@ -9,6 +9,8 @@
 ///     per-device, not per-task;
 ///   - a task that throws is recorded as ok=false with the exception text
 ///     in its slot — one bad corner never aborts the sweep;
+///   - so is a task whose exported metrics are not all finite, with error
+///     "non-finite metric: <name>", so an ok row never exports nan/inf;
 ///   - with identical tasks and models, the exported metrics are
 ///     byte-identical for any worker count (see sweep_result.h).
 
@@ -77,30 +79,9 @@ struct SweepRunnerOptions {
   std::shared_ptr<ResultCache> result_cache;
 };
 
-/// Deprecated pre-consolidation execution flags (no cache fields); kept one
-/// release so existing call sites keep compiling through the forwarding
-/// constructor below. New code uses SweepRunnerOptions.
-struct SweepOptions {
-  std::size_t workers = 0;
-  bool keep_waveforms = false;
-  bool share_solver_state = true;
-  bool reuse_results = true;
-  EyeOptions eye;
-};
-
 class SweepRunner {
  public:
   explicit SweepRunner(SweepRunnerOptions opt = {});
-
-  /// Deprecated forwarding constructor (one release): folds the old
-  /// positional cache arguments into SweepRunnerOptions. The ModelCache
-  /// argument is required (pass nullptr for a private one) so that a braced
-  /// `SweepRunner({})` unambiguously selects the new constructor.
-  [[deprecated(
-      "construct from SweepRunnerOptions (caches are named fields now)")]]
-  SweepRunner(SweepOptions opt, std::shared_ptr<ModelCache> cache,
-              std::shared_ptr<SolverStateCache> solver_cache = nullptr,
-              std::shared_ptr<ResultCache> result_cache = nullptr);
 
   /// Expands the spec and runs every task. \throws std::invalid_argument
   /// from expansion; per-task failures are captured in the result instead.

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "math/linear_solve.h"
-#include "math/sparse_lu.h"
 #include "obs/counters.h"
 
 namespace fdtdmm {
@@ -102,7 +100,7 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
       if (shared_symbolic_ != nullptr) {
         slu_.factorWithOrder(sp_re_, sp_im_, shared_symbolic_->rcm_order);
       } else {
-        // ComplexSparseLu's pattern-version cache still guarantees one RCM
+        // BandLu's pattern-version cache still guarantees one RCM
         // analysis per session: clearValues() keeps the version stamp.
         slu_.factor(sp_re_, sp_im_);
       }
@@ -170,7 +168,7 @@ Vector dcOperatingPoint(Circuit& circuit, int max_iter, double tol) {
   // exactly as in the transient loop.
   Vector x(n, 0.0);
   StampSystem sys;
-  LuFactorization lu;
+  DenseLu<double> lu;
   for (int it = 0; it < max_iter; ++it) {
     sys.a = Matrix(n, n);
     sys.b.assign(n, 0.0);

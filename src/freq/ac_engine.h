@@ -32,7 +32,8 @@
 
 #include "circuit/circuit.h"
 #include "circuit/solver_state.h"
-#include "math/complex_lu.h"
+#include "math/band_lu.h"
+#include "math/dense_lu.h"
 #include "math/sparse_matrix.h"
 #include "obs/telemetry.h"
 
@@ -43,7 +44,7 @@ struct AcOptions {
   enum class Solver { kDense, kSparse };
 
   /// kSparse (default) assembles into CSR pairs and factors with the
-  /// banded RCM-ordered ComplexSparseLu; kDense uses dense complex LU
+  /// banded RCM-ordered BandLu<Complex>; kDense uses DenseLu<Complex>
   /// (reference path for tests and tiny circuits).
   Solver solver = Solver::kSparse;
 
@@ -66,9 +67,10 @@ struct AcOptions {
   /// (directly or via sharing.health, which per-option collect overrides)
   /// AND telemetry attached, every solveAt records the factorization's
   /// pivot stats and one complex relative residual ||Ax-b||inf/||b||inf
-  /// into telemetry->health. No condition estimate on this path (the
-  /// complex factorizations expose no transpose solve); grading happens in
-  /// the scenario layer after the last solve.
+  /// into telemetry->health. No condition estimate on this path: the
+  /// complex factorizations have a transpose solve, but the estimator
+  /// (obs/health.h) takes real solves only. Grading happens in the
+  /// scenario layer after the last solve.
   obs::HealthOptions health;
 };
 
@@ -127,8 +129,8 @@ class AcSession {
   std::shared_ptr<const SolverSymbolic> shared_symbolic_;
   bool reused_shared_symbolic_ = false;
 
-  ComplexSparseLu slu_;
-  ComplexLu lu_;
+  BandLu<Complex> slu_;
+  DenseLu<Complex> lu_;
   ComplexVector x_;
   std::size_t factorizations_ = 0;
 };

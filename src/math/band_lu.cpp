@@ -1,4 +1,4 @@
-#include "math/sparse_lu.h"
+#include "math/band_lu.h"
 
 #include <algorithm>
 #include <cmath>
@@ -63,11 +63,46 @@ std::vector<std::size_t> reverseCuthillMcKee(const SparseMatrix& a) {
   return order;
 }
 
-void SparseLu::analyze(const SparseMatrix& a) {
-  analyzeWithOrder(a, reverseCuthillMcKee(a));
+template <class T>
+void BandLu<T>::load(const SparseMatrix& re, const SparseMatrix* im,
+                     const std::vector<std::size_t>* order) {
+  if (!re.finalized() || (im != nullptr && !im->finalized()))
+    throw std::invalid_argument("BandLu::factor: matrix not finalized");
+  if (re.dim() == 0) throw std::invalid_argument("BandLu::factor: empty matrix");
+  if (im != nullptr && (im->dim() != re.dim() || im->rowPtr() != re.rowPtr() ||
+                        im->colIdx() != re.colIdx()))
+    throw std::invalid_argument("BandLu::factor: real/imaginary patterns differ");
+  if (order != nullptr && order->size() != re.dim())
+    throw std::invalid_argument("BandLu::factorWithOrder: ordering size mismatch");
+  factored_ = false;
+  const std::uint64_t im_version = im != nullptr ? im->patternVersion() : 0;
+  if (re.dim() != n_ || re.patternVersion() != analyzed_version_ ||
+      im_version != analyzed_im_version_ || (order != nullptr && order_ != *order)) {
+    analyze(re, order != nullptr ? *order : reverseCuthillMcKee(re));
+    analyzed_im_version_ = im_version;
+  }
+
+  // Scatter the permuted matrix into band storage: the only step that
+  // differs per scalar.
+  std::fill(ab_.begin(), ab_.end(), T(0.0));
+  const auto& row_ptr = re.rowPtr();
+  const auto& col_idx = re.colIdx();
+  const auto& re_vals = re.values();
+  for (std::size_t r = 0; r < n_; ++r) {
+    const std::size_t i = pos_[r];
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      if constexpr (kIsComplex<T>) {
+        at(i, pos_[col_idx[k]]) += T(re_vals[k], im->values()[k]);
+      } else {
+        at(i, pos_[col_idx[k]]) += re_vals[k];
+      }
+    }
+  }
+  eliminate();
 }
 
-void SparseLu::analyzeWithOrder(const SparseMatrix& a, std::vector<std::size_t> order) {
+template <class T>
+void BandLu<T>::analyze(const SparseMatrix& a, std::vector<std::size_t> order) {
   n_ = a.dim();
   order_ = std::move(order);
   pos_.assign(n_, 0);
@@ -86,50 +121,20 @@ void SparseLu::analyzeWithOrder(const SparseMatrix& a, std::vector<std::size_t> 
   }
   ldab_ = 2 * kl_ + ku_ + 1;  // kl spare superdiagonals absorb pivot growth
   shift_ = kl_ + ku_;
-  ab_.assign(ldab_ * n_, 0.0);
+  ab_.assign(ldab_ * n_, T(0.0));
   piv_.assign(n_, 0);
   analyzed_version_ = a.patternVersion();
 }
 
-void SparseLu::factor(const SparseMatrix& a) {
-  if (!a.finalized()) throw std::invalid_argument("SparseLu::factor: matrix not finalized");
-  if (a.dim() == 0) throw std::invalid_argument("SparseLu::factor: empty matrix");
-  factored_ = false;
-  if (a.dim() != n_ || a.patternVersion() != analyzed_version_) analyze(a);
-  factorNumeric(a);
-}
-
-void SparseLu::factorWithOrder(const SparseMatrix& a,
-                               const std::vector<std::size_t>& order) {
-  if (!a.finalized()) throw std::invalid_argument("SparseLu::factor: matrix not finalized");
-  if (a.dim() == 0) throw std::invalid_argument("SparseLu::factor: empty matrix");
-  if (order.size() != a.dim())
-    throw std::invalid_argument("SparseLu::factorWithOrder: ordering size mismatch");
-  factored_ = false;
-  if (a.dim() != n_ || a.patternVersion() != analyzed_version_ || order_ != order)
-    analyzeWithOrder(a, order);
-  factorNumeric(a);
-}
-
-void SparseLu::factorNumeric(const SparseMatrix& a) {
-  // Scatter the permuted matrix into band storage.
-  std::fill(ab_.begin(), ab_.end(), 0.0);
-  const auto& row_ptr = a.rowPtr();
-  const auto& col_idx = a.colIdx();
-  const auto& values = a.values();
-  for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t i = pos_[r];
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-      at(i, pos_[col_idx[k]]) += values[k];
-  }
-
+template <class T>
+void BandLu<T>::eliminate() {
   // Health probes (minAbsPivot/pivotGrowth): the band holds exactly the
   // permuted A right after the scatter, so one pass gives max|A|; the
   // pivot minimum rides the pivot search below and max|U| is scanned from
   // the upper band afterwards. O(n * band) — free next to the O(n b^2)
   // elimination.
   max_abs_a_ = 0.0;
-  for (double v : ab_) max_abs_a_ = std::max(max_abs_a_, std::abs(v));
+  for (const T& v : ab_) max_abs_a_ = std::max(max_abs_a_, std::abs(v));
   min_abs_pivot_ = 0.0;
   max_abs_u_ = 0.0;
 
@@ -140,27 +145,27 @@ void SparseLu::factorNumeric(const SparseMatrix& a) {
   for (std::size_t j = 0; j < n_; ++j) {
     const std::size_t i_max = std::min(n_ - 1, j + kl_);
     std::size_t ip = j;
-    double p_abs = std::abs(at(j, j));
+    double p_abs = std::abs(atc(j, j));
     for (std::size_t i = j + 1; i <= i_max; ++i) {
-      const double v = std::abs(at(i, j));
+      const double v = std::abs(atc(i, j));
       if (v > p_abs) {
         p_abs = v;
         ip = i;
       }
     }
-    if (p_abs == 0.0) throw std::runtime_error("SparseLu::factor: singular matrix");
+    if (p_abs == 0.0) throw std::runtime_error("BandLu: singular matrix");
     min_abs_pivot_ = j == 0 ? p_abs : std::min(min_abs_pivot_, p_abs);
     piv_[j] = ip;
     const std::size_t c_max = std::min(n_ - 1, j + kl_ + ku_);
     if (ip != j) {
       for (std::size_t c = j; c <= c_max; ++c) std::swap(at(j, c), at(ip, c));
     }
-    const double pivot = at(j, j);
+    const T pivot = atc(j, j);
     for (std::size_t i = j + 1; i <= i_max; ++i) {
-      const double l = at(i, j) / pivot;
+      const T l = atc(i, j) / pivot;
       at(i, j) = l;
-      if (l == 0.0) continue;
-      for (std::size_t c = j + 1; c <= c_max; ++c) at(i, c) -= l * at(j, c);
+      if (l == T(0.0)) continue;
+      for (std::size_t c = j + 1; c <= c_max; ++c) at(i, c) -= l * atc(j, c);
     }
   }
   for (std::size_t j = 0; j < n_; ++j) {
@@ -171,26 +176,30 @@ void SparseLu::factorNumeric(const SparseMatrix& a) {
   factored_ = true;
 }
 
-void SparseLu::solve(const Vector& b, Vector& x) const { solve(b, x, work_); }
+template <class T>
+void BandLu<T>::solve(const Vec& b, Vec& x) const {
+  solve(b, x, work_);
+}
 
-void SparseLu::solve(const Vector& b, Vector& x, Vector& work) const {
-  if (!factored_) throw std::logic_error("SparseLu::solve: not factored");
-  if (b.size() != n_) throw std::invalid_argument("SparseLu::solve: size mismatch");
+template <class T>
+void BandLu<T>::solve(const Vec& b, Vec& x, Vec& work) const {
+  if (!factored_) throw std::logic_error("BandLu::solve: not factored");
+  if (b.size() != n_) throw std::invalid_argument("BandLu::solve: size mismatch");
   work.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) work[k] = b[order_[k]];
   // Forward: apply pivots interleaved with the L columns (gbtrs order).
   for (std::size_t j = 0; j < n_; ++j) {
     if (piv_[j] != j) std::swap(work[j], work[piv_[j]]);
-    const double yj = work[j];
-    if (yj == 0.0) continue;
+    const T yj = work[j];
+    if (yj == T(0.0)) continue;
     const std::size_t i_max = std::min(n_ - 1, j + kl_);
     for (std::size_t i = j + 1; i <= i_max; ++i) work[i] -= atc(i, j) * yj;
   }
   // Backward: U has bandwidth ku + kl after pivot growth.
   for (std::size_t j = n_; j-- > 0;) {
-    const double yj = work[j] / atc(j, j);
+    const T yj = work[j] / atc(j, j);
     work[j] = yj;
-    if (yj == 0.0) continue;
+    if (yj == T(0.0)) continue;
     const std::size_t i_min = j > kl_ + ku_ ? j - kl_ - ku_ : 0;
     for (std::size_t i = i_min; i < j; ++i) work[i] -= atc(i, j) * yj;
   }
@@ -198,20 +207,22 @@ void SparseLu::solve(const Vector& b, Vector& x, Vector& work) const {
   for (std::size_t k = 0; k < n_; ++k) x[order_[k]] = work[k];
 }
 
-Vector SparseLu::solve(const Vector& b) const {
-  Vector x;
+template <class T>
+typename BandLu<T>::Vec BandLu<T>::solve(const Vec& b) const {
+  Vec x;
   solve(b, x);
   return x;
 }
 
-void SparseLu::solveTranspose(const Vector& b, Vector& x) const {
+template <class T>
+void BandLu<T>::solveTranspose(const Vec& b, Vec& x) const {
   solveTranspose(b, x, work_);
 }
 
-void SparseLu::solveTranspose(const Vector& b, Vector& x, Vector& work) const {
-  if (!factored_) throw std::logic_error("SparseLu::solveTranspose: not factored");
-  if (b.size() != n_)
-    throw std::invalid_argument("SparseLu::solveTranspose: size mismatch");
+template <class T>
+void BandLu<T>::solveTranspose(const Vec& b, Vec& x, Vec& work) const {
+  if (!factored_) throw std::logic_error("BandLu::solveTranspose: not factored");
+  if (b.size() != n_) throw std::invalid_argument("BandLu::solveTranspose: size mismatch");
   // The RCM permutation is symmetric (rows and columns reordered alike),
   // so the transpose of the permuted matrix is the permuted transpose:
   // the same order_ wrapping as solve() applies.
@@ -220,7 +231,7 @@ void SparseLu::solveTranspose(const Vector& b, Vector& x, Vector& work) const {
   // U^T z = b: U's band column j reaches up to kl + ku rows above the
   // diagonal, so U^T's forward substitution gathers from that range.
   for (std::size_t j = 0; j < n_; ++j) {
-    double acc = work[j];
+    T acc = work[j];
     const std::size_t i_min = j > kl_ + ku_ ? j - kl_ - ku_ : 0;
     for (std::size_t i = i_min; i < j; ++i) acc -= atc(i, j) * work[i];
     work[j] = acc / atc(j, j);
@@ -230,7 +241,7 @@ void SparseLu::solveTranspose(const Vector& b, Vector& x, Vector& work) const {
   // row interchange of step j.
   for (std::size_t j = n_; j-- > 0;) {
     const std::size_t i_max = std::min(n_ - 1, j + kl_);
-    double acc = work[j];
+    T acc = work[j];
     for (std::size_t i = j + 1; i <= i_max; ++i) acc -= atc(i, j) * work[i];
     work[j] = acc;
     if (piv_[j] != j) std::swap(work[j], work[piv_[j]]);
@@ -238,5 +249,8 @@ void SparseLu::solveTranspose(const Vector& b, Vector& x, Vector& work) const {
   x.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) x[order_[k]] = work[k];
 }
+
+template class BandLu<double>;
+template class BandLu<Complex>;
 
 }  // namespace fdtdmm

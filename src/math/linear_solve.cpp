@@ -2,141 +2,13 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
+
+#include "math/dense_lu.h"
 
 namespace fdtdmm {
 
-LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
-  if (lu_.rows() != lu_.cols()) {
-    throw std::invalid_argument("LuFactorization: matrix must be square");
-  }
-  factorInPlace();
-}
-
-void LuFactorization::factor(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("LuFactorization: matrix must be square");
-  }
-  lu_ = a;  // vector copy assignment: reuses storage at an unchanged dim
-  try {
-    factorInPlace();
-  } catch (...) {
-    lu_ = Matrix();
-    perm_.clear();
-    factored_ = false;
-    throw;
-  }
-}
-
-void LuFactorization::factorInPlace() {
-  const std::size_t n = lu_.rows();
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-
-  // Health probes (see minAbsPivot/pivotGrowth): max|A| is scanned before
-  // elimination, the pivot minimum rides the pivot search it already
-  // performs, and max|U| is scanned afterwards — O(n^2) against the
-  // factorization's O(n^3), so tracking stays unconditional.
-  max_abs_a_ = 0.0;
-  {
-    const double* d = lu_.data();
-    for (std::size_t i = 0; i < n * n; ++i)
-      max_abs_a_ = std::max(max_abs_a_, std::abs(d[i]));
-  }
-  min_abs_pivot_ = 0.0;
-  max_abs_u_ = 0.0;
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting: find the largest magnitude entry in column k.
-    std::size_t pivot = k;
-    double best = std::abs(lu_(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double v = std::abs(lu_(r, k));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best == 0.0) throw std::runtime_error("LuFactorization: singular matrix");
-    min_abs_pivot_ = k == 0 ? best : std::min(min_abs_pivot_, best);
-    if (pivot != k) {
-      std::swap(perm_[k], perm_[pivot]);
-      for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(pivot, c));
-    }
-    const double inv = 1.0 / lu_(k, k);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double m = lu_(r, k) * inv;
-      lu_(r, k) = m;
-      if (m == 0.0) continue;
-      for (std::size_t c = k + 1; c < n; ++c) lu_(r, c) -= m * lu_(k, c);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i; j < n; ++j)
-      max_abs_u_ = std::max(max_abs_u_, std::abs(lu_(i, j)));
-  factored_ = true;
-}
-
-Vector LuFactorization::solve(const Vector& b) const {
-  Vector x;
-  solve(b, x);
-  return x;
-}
-
-void LuFactorization::solve(const Vector& b, Vector& x) const {
-  if (!factored()) throw std::logic_error("LuFactorization::solve: not factored");
-  const std::size_t n = lu_.rows();
-  if (b.size() != n) throw std::invalid_argument("LuFactorization::solve: size mismatch");
-  x.resize(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-  // Forward substitution (unit lower triangular).
-  for (std::size_t i = 1; i < n; ++i) {
-    double acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
-    x[i] = acc;
-  }
-  // Back substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
-    x[ii] = acc / lu_(ii, ii);
-  }
-}
-
-void LuFactorization::solveTranspose(const Vector& b, Vector& x) const {
-  if (!factored())
-    throw std::logic_error("LuFactorization::solveTranspose: not factored");
-  const std::size_t n = lu_.rows();
-  if (b.size() != n)
-    throw std::invalid_argument("LuFactorization::solveTranspose: size mismatch");
-  // A = P^-1 L U, so A^T x = b factors as U^T w = b, L^T v = w,
-  // x = P^-1 v (i.e. x[perm[i]] = v[i] — solve() applies P on entry, the
-  // transpose solve applies its inverse on exit).
-  x.resize(n);
-  Vector v(n);
-  // U^T is lower triangular with the U diagonal: forward substitution.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(j, i) * v[j];
-    v[i] = acc / lu_(i, i);
-  }
-  // L^T is unit upper triangular: backward substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = v[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(j, ii) * v[j];
-    v[ii] = acc;
-  }
-  for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = v[i];
-}
-
-double LuFactorization::absDeterminant() const {
-  double d = 1.0;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= std::abs(lu_(i, i));
-  return d;
-}
-
 Vector solveLinear(const Matrix& a, const Vector& b) {
-  return LuFactorization(a).solve(b);
+  return DenseLu<double>(a).solve(b);
 }
 
 Vector solveLeastSquares(const Matrix& a, const Vector& b, double ridge) {

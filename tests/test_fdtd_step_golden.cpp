@@ -3,11 +3,12 @@
 // bytes) and compared with hashes recorded from the reference kernel, so
 // any reordering of the update arithmetic shows up as a changed hash.
 //
-// Each fixture runs serially and as a task on 2- and 3-worker pools whose
-// idle workers the solver may borrow for its x-slabs: the hashes must not
-// depend on how many slabs the step was cut into.
+// Each fixture runs serially and under a lender of 2 and 3 threads that the
+// solver borrows for its x-slabs: the hashes must not depend on how many
+// slabs the step was cut into.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -17,8 +18,11 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "engine/thread_pool.h"
+#include "exec/worker_lender.h"
 #include "fdtd/solver.h"
 #include "rbf/driver_model.h"
 #include "signal/bit_pattern.h"
@@ -195,17 +199,49 @@ CaseRun runCpmlIncident() {
 
 using CaseFn = CaseRun (*)();
 
-// A lone task on an n-worker pool is lent every idle worker, so its steps
-// are cut into n slabs.
+// Lends each job a thread of its own while fewer than `threads - 1` are
+// out, so a run under it is cut into exactly `threads` slabs whatever the
+// scheduler does. A ThreadPool lends only workers that have already
+// parked, which a loaded machine may delay past the end of a short run.
+class ThreadLender final : public WorkerLender {
+ public:
+  explicit ThreadLender(std::size_t threads) : threads_(threads) {}
+  ~ThreadLender() override {
+    for (std::thread& t : jobs_) t.join();
+  }
+  ThreadLender(const ThreadLender&) = delete;
+  ThreadLender& operator=(const ThreadLender&) = delete;
+  bool tryLend(std::function<void()> job) override {
+    if (out_.load() + 1 >= threads_) return false;
+    ++out_;
+    jobs_.emplace_back([this, job = std::move(job)] {
+      try {
+        job();
+      } catch (...) {
+        ADD_FAILURE() << "a lent slab job threw";
+      }
+      --out_;
+    });
+    return true;
+  }
+  std::size_t fairShare() const override { return threads_; }
+
+ private:
+  const std::size_t threads_;
+  std::atomic<std::size_t> out_{0};
+  std::vector<std::thread> jobs_;  ///< touched by the lending run's thread only
+};
+
 void expectGolden(CaseFn fn, const char* golden) {
   const CaseRun serial = fn();
   EXPECT_EQ(serial.hash, golden) << "serial";
   EXPECT_EQ(serial.slabs, 1u);
-  for (std::size_t workers : {2u, 3u}) {
-    ThreadPool pool(workers);
-    const CaseRun pooled = pool.submit(fn).get();
-    EXPECT_EQ(pooled.hash, golden) << workers << "-worker pool";
-    EXPECT_EQ(pooled.slabs, workers);
+  for (std::size_t threads : {2u, 3u}) {
+    ThreadLender lender(threads);
+    WorkerLender::Scope scope(&lender);
+    const CaseRun lent = fn();
+    EXPECT_EQ(lent.hash, golden) << threads << " threads";
+    EXPECT_EQ(lent.slabs, threads);
   }
 }
 
@@ -222,16 +258,27 @@ TEST(FdtdStepGolden, CpmlIncident) {
 }
 
 // A load whose device law fails mid-run, like a port Newton that throws.
+// It fails once the solver has cut a step into slabs, that is once the
+// idle worker was lent, so the test does not depend on when that worker
+// parks. A lender that never lends makes it fail after 30 s of wall time
+// instead, and the slab count then fails the test rather than hanging it.
 class FailingPort final : public PortModel {
  public:
+  explicit FailingPort(const FdtdSolver& solver) : solver_(solver) {}
   void prepare(double) override {}
-  double current(double v, double t, double& didv) override {
-    if (t > 0.1e-9) throw std::runtime_error("device law failed");
+  double current(double v, double, double& didv) override {
+    if (solver_.peakSlabs() > 1 || std::chrono::steady_clock::now() > deadline_)
+      throw std::runtime_error("device law failed");
     didv = 1.0 / 50.0;
     return v / 50.0;
   }
   void commit(double, double) override {}
   std::string name() const override { return "failing"; }
+
+ private:
+  const FdtdSolver& solver_;
+  const std::chrono::steady_clock::time_point deadline_ =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
 };
 
 TEST(FdtdStepGolden, ThrowingPortReturnsBorrowedWorkers) {
@@ -245,9 +292,9 @@ TEST(FdtdStepGolden, ThrowingPortReturnsBorrowedWorkers) {
     grid.bake();
     FdtdSolver solver(std::move(grid));
     solver.addLumpedPort({Axis::kZ, 20, 6, 6, +1, "bad"},
-                         std::make_shared<FailingPort>());
+                         std::make_shared<FailingPort>(solver));
     try {
-      solver.runUntil(1e-9);
+      solver.runUntil(1.0);  // ended by the port, lent or not
     } catch (...) {
       slabs = solver.peakSlabs();
       throw;

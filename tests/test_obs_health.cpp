@@ -3,7 +3,7 @@
 // fixtures, the Hager condition estimate against a dense exact inverse
 // 1-norm (within 10x on systems up to 64 unknowns — the acceptance bound),
 // record/merge semantics, and end-to-end collection on all three LU paths
-// (dense LuFactorization, banded SparseLu, complex AC).
+// (dense DenseLu<double>, banded BandLu<double>, complex AC).
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
@@ -16,8 +16,8 @@
 #include "circuit/rlgc_line.h"
 #include "circuit/transient.h"
 #include "freq/ac_engine.h"
-#include "math/linear_solve.h"
-#include "math/sparse_lu.h"
+#include "math/band_lu.h"
+#include "math/dense_lu.h"
 #include "math/sparse_matrix.h"
 
 namespace fdtdmm {
@@ -194,7 +194,7 @@ TEST(Health, MergeAggregatesFieldWise) {
 // fine at n <= 64, which is exactly why the acceptance bound is stated on
 // small systems.
 double exactInverseNorm1(const Matrix& a) {
-  LuFactorization lu(a);
+  DenseLu<double> lu(a);
   const std::size_t n = a.rows();
   Vector e(n, 0.0), x;
   double norm = 0.0;
@@ -210,7 +210,7 @@ double exactInverseNorm1(const Matrix& a) {
 }
 
 void expectEstimateWithin10x(const Matrix& a, const char* what) {
-  LuFactorization lu(a);
+  DenseLu<double> lu(a);
   const SolveFn solve = [&lu](const Vector& b, Vector& x) { lu.solve(b, x); };
   const SolveFn solve_t = [&lu](const Vector& b, Vector& x) {
     lu.solveTranspose(b, x);
@@ -268,7 +268,7 @@ TEST(Health, ConditionEstimateWithin10xOfExactDense) {
   // within 10x AND large enough to grade warn/critical.
   const Matrix near_singular = gradedConductanceChain(48, 12.0);
   expectEstimateWithin10x(near_singular, "graded 1e12");
-  LuFactorization lu(near_singular);
+  DenseLu<double> lu(near_singular);
   const double est = estimateInverseNorm1(
       near_singular.rows(),
       [&lu](const Vector& b, Vector& x) { lu.solve(b, x); },
@@ -289,7 +289,7 @@ TEST(Health, ConditionEstimateOnSparseFactorsMatchesDense) {
   sparse.finalize();
   EXPECT_DOUBLE_EQ(matrixNorm1(sparse), matrixNorm1(dense));
 
-  SparseLu slu;
+  BandLu<double> slu;
   slu.factor(sparse);
   const double est = estimateInverseNorm1(
       n, [&slu](const Vector& b, Vector& x) { slu.solve(b, x); },

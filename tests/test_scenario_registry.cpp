@@ -8,9 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <limits>
 #include <set>
+#include <sstream>
 
 #include "engine/sweep_runner.h"
+#include "json_lint.h"
+#include "tiny_models.h"
 
 namespace fdtdmm {
 namespace {
@@ -42,6 +47,7 @@ struct SynthConfig {
   double bit_time = 1e-9;
   double amplitude = 1.0;
   double tau = 0.2e-9;
+  bool emit_nan = false;  ///< fabricate an all-NaN waveform (a broken engine)
 };
 
 class SynthFamily final : public Scenario {
@@ -74,7 +80,9 @@ class SynthFamily final : public Scenario {
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel>,
                     std::shared_ptr<const RbfReceiverModel>) const override {
     TaskWaveforms out;
-    const double a = cfg_.amplitude, tau = cfg_.tau;
+    const double a = cfg_.emit_nan ? std::numeric_limits<double>::quiet_NaN()
+                                   : cfg_.amplitude;
+    const double tau = cfg_.tau;
     out.v_far = sampleFunction(
         [a, tau](double t) { return a * (1.0 - std::exp(-t / tau)); }, 0.0,
         tStop(), 10e-12);
@@ -100,6 +108,9 @@ class SynthFamily final : public Scenario {
             {positiveParam("tau", "charge time constant [s]"),
              [](const T& s) { return ParamValue{s.cfg_.tau}; },
              [](T& s, const ParamValue& v) { s.cfg_.tau = std::get<double>(v); }},
+            {boolParam("emit_nan", "emit an all-NaN waveform"),
+             [](const T& s) { return ParamValue{s.cfg_.emit_nan}; },
+             [](T& s, const ParamValue& v) { s.cfg_.emit_nan = std::get<bool>(v); }},
         });
     return t;
   }
@@ -278,6 +289,77 @@ TEST(ScenarioRegistry, SyntheticFamilySweepsEndToEndWithoutEngineChanges) {
   EXPECT_NEAR(result.runs[2].metrics.v_far_max, 1.0, 1e-6);
   EXPECT_NEAR(result.runs[4].metrics.v_far_max, 2.0, 1e-6);
   for (const auto& run : result.runs) EXPECT_EQ(run.metrics.v_far_min, 0.0);
+}
+
+// Runs the synthetic family over amplitudes {0.5, 1, 2}; with `poison` the
+// middle corner also emits an all-NaN waveform. Returns the CSV and JSON
+// exports split into lines.
+struct SynthExports {
+  SweepResult result;
+  std::vector<std::string> csv, json;
+};
+
+SynthExports runSynthAmplitudes(bool poison) {
+  ParamAxis axis;
+  axis.name = "amplitude";
+  for (double a : {0.5, 1.0, 2.0}) {
+    AxisPoint point{{{"amplitude", a}}};
+    if (poison && a == 1.0) point.bindings.push_back({"emit_nan", true});
+    axis.points.push_back(point);
+  }
+  SweepSpec spec;
+  spec.scenario = "test-synth";
+  spec.axis(std::move(axis));
+  SweepRunnerOptions opt;
+  opt.workers = 2;
+  SynthExports out{SweepRunner(opt).run(spec), {}, {}};
+
+  const std::string base = testing::TempDir() + (poison ? "nan_poisoned" : "nan_clean");
+  writeSweepCsv(out.result, base + ".csv");
+  writeSweepJson(out.result, base + ".json");
+  for (auto [ext, lines] : {std::pair{".csv", &out.csv}, std::pair{".json", &out.json}}) {
+    std::istringstream in(testmodels::slurp(base + ext));
+    for (std::string line; std::getline(in, line);) lines->push_back(line);
+    std::filesystem::remove(base + ext);
+  }
+  return out;
+}
+
+TEST(SweepRunner, NonFiniteMetricFailsTheCornerAndKeepsExportsValid) {
+  ensureSynthRegistered();
+  const SynthExports clean = runSynthAmplitudes(false);
+  const SynthExports poisoned = runSynthAmplitudes(true);
+  ASSERT_EQ(clean.result.okCount(), 3u);
+
+  ASSERT_EQ(poisoned.result.runs.size(), 3u);
+  EXPECT_EQ(poisoned.result.okCount(), 2u);
+  EXPECT_FALSE(poisoned.result.runs[1].ok);
+  EXPECT_EQ(poisoned.result.runs[1].error, "non-finite metric: v_far_max");
+
+  std::string json_text;
+  for (const std::string& line : poisoned.json) json_text += line + "\n";
+  std::string why;
+  EXPECT_TRUE(jsonlint::valid(json_text, &why)) << why;
+  EXPECT_EQ(json_text.find("nan"), std::string::npos);
+  EXPECT_EQ(json_text.find("inf"), std::string::npos);
+
+  // The failed row exports no numbers; every other line is byte-identical
+  // to the sweep without the broken corner. CSV row 1 and JSON run 1 are
+  // line 2 and line 4 of their files.
+  ASSERT_EQ(poisoned.csv.size(), clean.csv.size());
+  ASSERT_EQ(poisoned.json.size(), clean.json.size());
+  EXPECT_EQ(poisoned.csv[2], "1,\"synth a=1\",0,\"non-finite metric: v_far_max\",,,,,,,,,,");
+  EXPECT_NE(poisoned.json[4].find("\"ok\": false, \"error\": \"non-finite metric: "
+                                  "v_far_max\", \"metrics\": null}"),
+            std::string::npos);
+  for (std::size_t i = 0; i < clean.csv.size(); ++i) {
+    if (i == 2) continue;
+    EXPECT_EQ(poisoned.csv[i], clean.csv[i]) << "csv line " << i;
+  }
+  for (std::size_t i = 0; i < clean.json.size(); ++i) {
+    if (i == 4) continue;
+    EXPECT_EQ(poisoned.json[i], clean.json[i]) << "json line " << i;
+  }
 }
 
 }  // namespace
